@@ -99,7 +99,7 @@ from repro.sim.trace import Trace
 from repro.workloads.apps import APPS
 
 #: Which PR this bench file tracks (bump per perf-relevant PR).
-PR_NUMBER = 10
+PR_NUMBER = 13
 
 #: Seed-measured reference numbers for the same workloads, recorded on
 #: the machine that produced BENCH_PR1.json before the PR 1 fast paths

@@ -24,7 +24,7 @@ retire fewer instructions per cycle than SPEC compute apps
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CmpConfig
 from repro.core.controller import Rubik
@@ -44,6 +44,11 @@ PACKAGE_FIXED_POWER_W = 13.0
 #: apps (branchy, pointer-chasing code), so oblivious throughput-greedy
 #: allocators systematically deprioritize them.
 LC_IPC_FACTOR = 0.6
+
+#: One core's allocator rows over the DVFS grid: IPS and power at the
+#: lowest level, then per-level step rows ``d_ips``, ``d_p`` and
+#: ``gain = d_ips / d_p`` for the step to the next level up.
+_GridRows = Tuple[float, float, List[float], List[float], List[float]]
 
 
 class RubikColocScheme(Rubik):
@@ -90,9 +95,8 @@ class ChipLevelAllocator:
 
     * objective ``"throughput"`` (HW-T): greedy marginal-IPS-per-watt
       ascent until the TDP is exhausted;
-    * objective ``"tpw"`` (HW-TPW): each core at the frequency maximizing
-      its own occupant's throughput per watt (maximizing the aggregate
-      ratio decomposes per-core when cores are independent).
+    * objective ``"tpw"`` (HW-TPW): greedy ascent while a step's
+      marginal IPS/W beats the aggregate IPS per package watt.
     """
 
     def __init__(
@@ -116,10 +120,16 @@ class ChipLevelAllocator:
         self.lc_ips_model = lc_ips_model or _default_lc_ips_model
         self.period_s = period_s
         self.horizon_s = horizon_s
-        # The assignment depends only on each core's occupant *type*
-        # (which batch app, or the LC app), so allocations are memoized
-        # on that key — there are at most 2^cores distinct states.
-        self._cache: dict = {}
+        self._grid = self.cores[0].dvfs.config.frequencies
+        # Allocations are memoized on each core's occupant *type* (which
+        # batch app, or the LC app), so there are at most 2^cores
+        # distinct keys. The key is coarser than the model: an LC core's
+        # IPS and power depend on its in-service request's compute/memory
+        # split, so an ``"lc"`` entry freezes the split of whichever
+        # request was in service at the miss that filled it.
+        self._cache: Dict[Tuple[str, ...], List[float]] = {}
+        # Batch/idle grid rows, keyed by occupant key.
+        self._rows: Dict[str, _GridRows] = {}
         sim.schedule_after(period_s, self._tick)
 
     def _occupant_key(self, core: Core) -> str:
@@ -149,34 +159,60 @@ class ChipLevelAllocator:
             mem_frac = core.background.mem_stall_frac(freq_hz)
         return self.power.busy_power(freq_hz, mem_frac)
 
+    def _grid_rows(self, core: Core) -> _GridRows:
+        """One core's ``(ips, power)`` rows over the grid, as step rows.
+
+        Row values come from :meth:`_occupant_ips` and
+        :meth:`_occupant_power`, and each step's deltas and gain are the
+        same subtractions and division the per-step greedy performs, so
+        indexing the rows reproduces it bitwise. The top level carries a
+        zero power step, which both greedy loops already skip.
+        """
+        ips = [self._occupant_ips(core, f) for f in self._grid]
+        power = [self._occupant_power(core, f) for f in self._grid]
+        d_ips = [b - a for a, b in zip(ips, ips[1:])] + [0.0]
+        d_p = [b - a for a, b in zip(power, power[1:])] + [0.0]
+        gain = [di / dp if dp > 0 else 0.0 for di, dp in zip(d_ips, d_p)]
+        return ips[0], power[0], d_ips, d_p, gain
+
+    def _tables(self) -> List[_GridRows]:
+        """Grid rows for every core, built once per memo miss.
+
+        Batch and idle rows depend only on the occupant key and are
+        cached for the allocator's lifetime; LC rows are rebuilt from the
+        in-service request on every miss.
+        """
+        tables = []
+        for core in self.cores:
+            key = self._occupant_key(core)
+            rows = None if key == "lc" else self._rows.get(key)
+            if rows is None:
+                rows = self._grid_rows(core)
+                if key != "lc":
+                    self._rows[key] = rows
+            tables.append(rows)
+        return tables
+
     def _assign_throughput(self) -> List[float]:
         """Greedy marginal IPS/W ascent under the package power budget."""
-        grid = self.cores[0].dvfs.config.frequencies
+        _, base_p, _, d_ps, gains = zip(*self._tables())
         levels = [0] * len(self.cores)
         budget = self.cmp.tdp_watts - PACKAGE_FIXED_POWER_W
-        spent = sum(self._occupant_power(c, grid[0]) for c in self.cores)
+        spent = sum(base_p)
         while True:
             best_gain, best_core = 0.0, -1
-            for ci, core in enumerate(self.cores):
-                li = levels[ci]
-                if li + 1 >= len(grid):
+            for ci, li in enumerate(levels):
+                d_p = d_ps[ci][li]
+                if d_p <= 0 or spent + d_p > budget:
                     continue
-                d_ips = (self._occupant_ips(core, grid[li + 1])
-                         - self._occupant_ips(core, grid[li]))
-                d_p = (self._occupant_power(core, grid[li + 1])
-                       - self._occupant_power(core, grid[li]))
-                if spent + d_p > budget or d_p <= 0:
-                    continue
-                gain = d_ips / d_p
+                gain = gains[ci][li]
                 if gain > best_gain:
                     best_gain, best_core = gain, ci
             if best_core < 0:
                 break
-            li = levels[best_core]
-            spent += (self._occupant_power(self.cores[best_core], grid[li + 1])
-                      - self._occupant_power(self.cores[best_core], grid[li]))
+            spent += d_ps[best_core][levels[best_core]]
             levels[best_core] += 1
-        return [grid[l] for l in levels]
+        return [self._grid[l] for l in levels]
 
     def _assign_tpw(self) -> List[float]:
         """Greedy ascent maximizing aggregate IPS per package watt.
@@ -185,38 +221,32 @@ class ChipLevelAllocator:
         marginal IPS/W exceeds the current aggregate ratio; the fixed
         package power keeps the optimum away from the bottom of the grid.
         """
-        grid = self.cores[0].dvfs.config.frequencies
+        base_ips, base_p, d_ipss, d_ps, gains = zip(*self._tables())
         levels = [0] * len(self.cores)
-        total_ips = sum(self._occupant_ips(c, grid[0]) for c in self.cores)
-        total_p = PACKAGE_FIXED_POWER_W + sum(
-            self._occupant_power(c, grid[0]) for c in self.cores)
-        improved = True
-        while improved:
-            improved = False
-            ratio = total_ips / total_p
-            best_gain, best_core, best_d = ratio, -1, (0.0, 0.0)
-            for ci, core in enumerate(self.cores):
-                li = levels[ci]
-                if li + 1 >= len(grid):
+        total_ips = sum(base_ips)
+        total_p = PACKAGE_FIXED_POWER_W + sum(base_p)
+        while True:
+            best_gain, best_core = total_ips / total_p, -1
+            for ci, li in enumerate(levels):
+                if d_ps[ci][li] <= 0:
                     continue
-                d_ips = (self._occupant_ips(core, grid[li + 1])
-                         - self._occupant_ips(core, grid[li]))
-                d_p = (self._occupant_power(core, grid[li + 1])
-                       - self._occupant_power(core, grid[li]))
-                if d_p <= 0:
-                    continue
-                gain = d_ips / d_p
+                gain = gains[ci][li]
                 if gain > best_gain:
-                    best_gain, best_core, best_d = gain, ci, (d_ips, d_p)
-            if best_core >= 0:
-                levels[best_core] += 1
-                total_ips += best_d[0]
-                total_p += best_d[1]
-                improved = True
-        return [grid[l] for l in levels]
+                    best_gain, best_core = gain, ci
+            if best_core < 0:
+                break
+            li = levels[best_core]
+            total_ips += d_ipss[best_core][li]
+            total_p += d_ps[best_core][li]
+            levels[best_core] += 1
+        return [self._grid[l] for l in levels]
 
     def _tick(self) -> None:
-        key = tuple(self._occupant_key(c) for c in self.cores)
+        # _occupant_key, inlined: this runs every period on every core.
+        key = tuple(["lc" if c.current is not None
+                     else "idle" if c.background is None
+                     else c.background.profile.name  # type: ignore[attr-defined]
+                     for c in self.cores])
         freqs = self._cache.get(key)
         if freqs is None:
             freqs = (self._assign_throughput()
@@ -224,18 +254,27 @@ class ChipLevelAllocator:
                      else self._assign_tpw())
             self._cache[key] = freqs
         for core, f in zip(self.cores, freqs):
-            core.dvfs.request(f)
-        if self.horizon_s is None or self.sim.now + self.period_s <= self.horizon_s:
-            self.sim.schedule_after(self.period_s, self._tick)
+            dvfs = core.dvfs
+            # DvfsDomain.request's first early return, without the call:
+            # nothing in flight and already at the target.
+            if dvfs._pending_target is None and f == dvfs._current_hz:
+                continue
+            dvfs.request(f)
+        sim = self.sim
+        if self.horizon_s is None or sim.now + self.period_s <= self.horizon_s:
+            sim.schedule_entry(sim.now + self.period_s, self._tick)
 
 
 def _default_lc_ips_model(core: Core, freq_hz: float) -> float:
     """Generic LC throughput model for the HW allocator.
 
     Treats the in-service LC request as a stream of instructions whose
-    compute/memory split matches the request's demand split (so the model
-    depends only on the occupant type, keeping allocations memoizable).
-    Normalized units cancel in the allocator's marginal comparisons.
+    compute/memory split matches the request's demand split, so the
+    model depends on that request, not just on the occupant type. The
+    allocator memoizes on occupant type anyway: the first request seen
+    under a key fixes the frequencies every later tick with that key
+    reuses. Normalized units cancel in the allocator's marginal
+    comparisons.
     """
     req = core.current
     assert req is not None

@@ -196,7 +196,6 @@ def run_colocated_server(
         ChipLevelAllocator(sim, cores, cmp_config, power_model,
                            objective=objective, horizon_s=horizon)
 
-    total = n_req * n_cores
     # The horizon cap is a safety net for a wedged run (completions
     # always drain queued work, so the completion count normally ends
     # the loop long before `max arrival + 100 s`). Note: since DVFS
@@ -204,10 +203,17 @@ def run_colocated_server(
     # checked at arrival/completion/allocator-tick granularity only —
     # a capped run can process a few more of those than the event-driven
     # machinery would have.
-    while sum(len(c.completed) for c in cores) < total:
-        if not sim.step():
-            break
-        if sim.now > horizon:
+    #
+    # Every core completes at most its own ``n_req`` requests, so "fewer
+    # than n_req * n_cores completions in total" is exactly "some core
+    # is short". ``waiting`` is the first core not yet known to be done;
+    # completion counts only grow, so it never moves backwards.
+    step = sim.step
+    waiting = 0
+    while True:
+        while waiting < n_cores and len(cores[waiting].completed) >= n_req:
+            waiting += 1
+        if waiting == n_cores or not step() or sim.now > horizon:
             break
     for core in cores:
         core.finalize()
